@@ -11,8 +11,8 @@ equivalent instead of only testing it:
   scheduling tables, and CSR flow tables from the artifact's arrays and
   proves them equal to an independent re-derivation from the source
   template (conservation, program order, fused-chunk offset correctness,
-  and the ``sched_periods`` dyadic-exactness precondition the periodic
-  fast-forward relies on -- checked, not assumed);
+  and the ``sched_periods`` structure the flow tables' segment reuse
+  relies on -- checked, not assumed);
 * :mod:`intervals` -- an interval/abstract-interpretation pass over the
   index arithmetic the C kernels consume: every CSR offset in-bounds,
   int32/int64 delta and address arithmetic provably non-overflowing for
@@ -39,7 +39,7 @@ from .intervals import (
     check_cache_export,
     check_intervals,
 )
-from .lowering import check_dyadic_preconditions, check_lowering
+from .lowering import check_lowering
 from .mutation import (
     ARTIFACT_MUTATION_CLASSES,
     enumerate_artifact_mutants,
@@ -51,7 +51,6 @@ __all__ = [
     "verify_artifact",
     "sweep_artifacts",
     "check_lowering",
-    "check_dyadic_preconditions",
     "check_intervals",
     "check_cache_export",
     "DEFAULT_ADDR_BOUND",

@@ -3,8 +3,7 @@
 ``verify_artifact`` composes the lowering-equivalence checks
 (:mod:`lowering`) and the interval pass (:mod:`intervals`) over one
 ``(TraceTemplate, CompiledTemplate)`` pair into a single
-:class:`~repro.analysis.staticcheck.findings.Report`; a chip additionally
-enables the dyadic fast-forward precondition checks.
+:class:`~repro.analysis.staticcheck.findings.Report`.
 
 ``gate_compiled`` is the ``REPRO_STATICCHECK=1`` hook ``compile_template``
 calls on every lowering: clean artifacts pass through (counted under
@@ -36,7 +35,7 @@ from ..staticcheck.verifier import (
     _simulate_kernel,
 )
 from .intervals import check_cache_export, check_intervals
-from .lowering import check_dyadic_preconditions, check_lowering
+from .lowering import check_lowering
 
 __all__ = ["verify_artifact", "sweep_artifacts", "gate_compiled"]
 
@@ -45,16 +44,13 @@ def verify_artifact(
     template,
     compiled=None,
     *,
-    chip: ChipSpec | None = None,
-    launch_cycles: float = 0.0,
     name: str = "artifact",
     extents=None,
     caches=None,
 ) -> Report:
     """Verify one compiled-replay artifact against its source template.
 
-    ``compiled`` defaults to the template's cached artifact; ``chip``
-    enables the dyadic fast-forward precondition checks, ``extents``
+    ``compiled`` defaults to the template's cached artifact; ``extents``
     (operand slot -> bytes spanned) tightens the delta interval check,
     and ``caches`` adds the LRU-export well-formedness pass.
     """
@@ -65,8 +61,6 @@ def verify_artifact(
     report = Report(name)
     check_lowering(template, compiled, report)
     check_intervals(template, compiled, report, extents=extents)
-    if chip is not None:
-        check_dyadic_preconditions(template, chip, launch_cycles, report)
     if caches is not None:
         check_cache_export(caches, report)
     return report.finalize()
@@ -117,9 +111,9 @@ def sweep_artifacts(
     each rotation variant (non-generatable shapes have no kernel, hence no
     artifact -- ``lint-kernels`` still budget-checks them analytically).
     With ``fusion=True`` one fused block per Figure 4 boundary mode is
-    built per ISA, repeated to eight tiles so the period structure (and
-    the fast-forward preconditions) are exercised for real.  A ``chip``
-    also contributes one LRU-export report for a fresh hierarchy.
+    built per ISA, repeated to eight tiles so the period structure is
+    exercised for real.  A ``chip`` contributes one LRU-export report for
+    a fresh hierarchy.
     """
     from ...codegen.fusion import fuse_templates
     from ...codegen.microkernel import generate_microkernel
@@ -164,7 +158,6 @@ def sweep_artifacts(
                     verify_artifact(
                         template,
                         compile_template(template),
-                        chip=chip,
                         name=name,
                         extents=extents,
                     )
@@ -194,9 +187,9 @@ def sweep_artifacts(
                     )
                     emit(rep.finalize())
                     continue
-                # Eight tiles: enough periods for the fast-forward (and
-                # its preconditions) to be live, small enough to verify
-                # in milliseconds.
+                # Eight tiles: enough repeated periods for the flow
+                # tables' segment reuse to be live, small enough to
+                # verify in milliseconds.
                 sequence = [first, second] * 4
                 fused = fuse_templates(
                     [captured[s][0] for s in sequence]
@@ -208,7 +201,6 @@ def sweep_artifacts(
                     verify_artifact(
                         fused,
                         compile_template(fused),
-                        chip=chip,
                         name=name,
                         extents=tuple(extents),
                     )

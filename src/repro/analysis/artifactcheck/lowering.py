@@ -24,34 +24,22 @@ equal to the re-derivation:
   equal a direct scan of ``sched``;
 * **period structure** -- ``sched_periods`` is well-formed (starts at 0,
   monotone, covers the stream) and equal keys really do name value-equal
-  sched segments, which is what ``flow_tables``'s array reuse assumes;
-* **dyadic preconditions** -- the periodic fast-forward's exactness
-  argument (every scoreboard quantity a multiple of ``2**-6`` and every
-  partial sum exactly representable) is checked against the chip tables
-  instead of assumed.
+  sched segments, which is what ``flow_tables``'s array reuse assumes.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ...machine.pipeline import _dyadic64
 from ..staticcheck.findings import Report, Severity
 
 __all__ = [
     "derive_mem_stream",
     "check_lowering",
     "check_sched_periods",
-    "check_dyadic_preconditions",
-    "DYADIC_MAGNITUDE_BOUND",
 ]
 
 _KIND_PLAIN, _KIND_LOAD, _KIND_STORE, _KIND_PREFETCH = 0, 1, 2, 3
-
-#: Multiples of ``2**-6`` are exactly representable in binary64 up to
-#: ``2**53 * 2**-6``; every partial sum the scoreboard forms must stay
-#: below this for the fast-forward's "shifting is exact" argument to hold.
-DYADIC_MAGNITUDE_BOUND = 2.0**47
 
 #: Expected dtypes of the four parallel memory-op arrays -- the native
 #: consult path hands these buffers to C by dtype, so a drifted dtype is a
@@ -350,76 +338,6 @@ def check_sched_periods(template, report: Report) -> bool:
             )
             return False
     return True
-
-
-def check_dyadic_preconditions(
-    template, chip, launch_cycles: float, report: Report
-) -> None:
-    """Check (not assume) the periodic fast-forward's exactness inputs.
-
-    The fast-forward shifts scoreboard state in closed form, which is
-    bit-exact only when every quantity is a multiple of ``2**-6`` (so
-    additions never round) and every partial sum stays below
-    :data:`DYADIC_MAGNITUDE_BOUND` (so those multiples remain exactly
-    representable).  Non-dyadic values are legal -- they disable the
-    fast-forward or taint a unit (both ADVICE) -- but an in-range dyadic
-    claim with out-of-range magnitudes would be silently wrong, hence
-    ERROR.
-    """
-    units = template.units
-    rt = [1.0 / chip.ipc(u.value) for u in units]
-    lat = [float(chip.latency(u.value)) for u in units]
-    load_lat = [0.0] + [float(chip.load_latency(lvl)) for lvl in (1, 2, 3, 4)]
-    store_lat = float(chip.lat_store)
-    fetch_step = 1.0 / chip.decode_width
-
-    inexact = [
-        f"{name}={value!r}"
-        for name, value in (
-            ("fetch_step", fetch_step),
-            ("launch", launch_cycles),
-            ("store_lat", store_lat),
-            *((f"lat[{u}]", v) for u, v in zip(units, lat)),
-            *((f"load_lat[L{i}]", v) for i, v in enumerate(load_lat)),
-        )
-        if not _dyadic64(value)
-    ]
-    can_try = not inexact
-    if inexact:
-        report.add(
-            "fast-forward-inexact",
-            Severity.ADVICE,
-            f"{chip.name}: non-dyadic scoreboard quantities disable the "
-            f"periodic fast-forward: {', '.join(inexact[:4])}",
-            count=len(inexact),
-        )
-    tainted = [str(u) for u, v in zip(units, rt) if not _dyadic64(v)]
-    if tainted:
-        report.add(
-            "tainted-throughput",
-            Severity.ADVICE,
-            f"{chip.name}: non-dyadic reciprocal throughput taints "
-            f"unit(s) {', '.join(tainted)} (tracked start + paranoia "
-            "margin path)",
-            count=len(tainted),
-        )
-
-    periods = template.sched_periods
-    applicable = can_try and periods is not None and len(periods[1]) >= 8
-    if not applicable:
-        return
-    max_step = fetch_step + max(
-        lat + load_lat + [store_lat, 1.0], default=1.0
-    ) + max((v for v in rt if _dyadic64(v)), default=0.0)
-    bound = launch_cycles + template.n_instr * max_step
-    if bound >= DYADIC_MAGNITUDE_BOUND:
-        report.add(
-            "dyadic-magnitude",
-            Severity.ERROR,
-            f"worst-case completion bound {bound:.3e} exceeds 2**47; "
-            "2**-6 multiples are no longer exactly representable, so the "
-            "fast-forward's closed-form shift may round",
-        )
 
 
 def check_lowering(template, compiled, report: Report) -> None:

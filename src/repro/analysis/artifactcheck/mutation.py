@@ -236,7 +236,7 @@ def default_mutation_templates():
     return templates
 
 
-def run_artifact_mutation_suite(chip=None) -> MutationReport:
+def run_artifact_mutation_suite() -> MutationReport:
     """Inject every artifact mutant into every template; score detection.
 
     Baselines are asserted clean at the WARNING bar first, so advisory
@@ -246,7 +246,7 @@ def run_artifact_mutation_suite(chip=None) -> MutationReport:
     report = MutationReport()
     for name, template in default_mutation_templates():
         base = verify_artifact(
-            template, compile_template(template), chip=chip,
+            template, compile_template(template),
             name=f"baseline:{name}",
         )
         gating = base.errors + base.warnings
@@ -257,7 +257,7 @@ def run_artifact_mutation_suite(chip=None) -> MutationReport:
             )
         for mutant in enumerate_artifact_mutants(template):
             rep = verify_artifact(
-                template, mutant.compiled, chip=chip,
+                template, mutant.compiled,
                 name=f"mutant:{name}:{mutant.cls}",
             )
             flagged = tuple(

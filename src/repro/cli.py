@@ -124,8 +124,7 @@ def _cmd_kernel(args) -> int:
 
 def _cmd_gemm(args) -> int:
     chip = get_chip(args.chip)
-    lib = AutoGEMM(chip, use_replay=not args.no_replay,
-                   use_compiled=not args.no_compile)
+    lib = AutoGEMM(chip, use_replay=not args.no_replay)
     a, b = _random_operands(args)
     with _metrics_scope(args.metrics) as collector:
         result = lib.gemm(a, b, threads=args.threads)
@@ -208,8 +207,7 @@ def _cmd_profile(args) -> int:
     from .machine.native import native_status
 
     chip = get_chip(args.chip)
-    lib = AutoGEMM(chip, use_replay=not args.no_replay,
-                   use_compiled=not args.no_compile)
+    lib = AutoGEMM(chip, use_replay=not args.no_replay)
     a, b = _random_operands(args)
     with collecting() as collector:
         result = lib.gemm(a, b, threads=args.threads)
@@ -246,8 +244,7 @@ def _cmd_profile(args) -> int:
 
 def _cmd_explain(args) -> int:
     chip = get_chip(args.chip)
-    lib = AutoGEMM(chip, use_replay=not args.no_replay,
-                   use_compiled=not args.no_compile)
+    lib = AutoGEMM(chip, use_replay=not args.no_replay)
     a, b = _random_operands(args)
     with collecting() as collector:
         # Prime the shared replay cache first: the estimator times each
@@ -465,7 +462,7 @@ def _cmd_lint_artifacts(args) -> int:
         "advice": n_advice,
     }
     if args.mutation:
-        mrep = run_artifact_mutation_suite(chip=chip)
+        mrep = run_artifact_mutation_suite()
         payload["mutation"] = {
             "detected": mrep.detected,
             "total": mrep.total,
@@ -647,7 +644,6 @@ def _cmd_serve(args) -> int:
         breaker_threshold=args.breaker_threshold,
         breaker_cooldown=args.breaker_cooldown,
         use_replay=not args.no_replay,
-        use_compiled=not args.no_compile,
         family_serve=not args.no_family,
         upgrade_budget=args.upgrade_budget,
     )
@@ -872,9 +868,6 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--no-replay", action="store_true",
                    help="disable the tile-replay fast path (interpret "
                         "every tile instruction by instruction)")
-    g.add_argument("--no-compile", action="store_true",
-                   help="keep replay but disable compiled trace-template "
-                        "artifacts (interpreted per-op template walk)")
 
     e = sub.add_parser("estimate", help="project a GEMM without full simulation")
     e.add_argument("m", type=int)
@@ -909,9 +902,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-replay", action="store_true",
                    help="disable the tile-replay fast path (interpret "
                         "every tile instruction by instruction)")
-    p.add_argument("--no-compile", action="store_true",
-                   help="keep replay but disable compiled trace-template "
-                        "artifacts")
 
     x = sub.add_parser(
         "explain",
@@ -933,9 +923,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "attribution (in otherData) to this path")
     x.add_argument("--no-replay", action="store_true",
                    help="disable the tile-replay fast path")
-    x.add_argument("--no-compile", action="store_true",
-                   help="keep replay but disable compiled trace-template "
-                        "artifacts")
 
     bc = sub.add_parser(
         "bench",
@@ -1004,9 +991,8 @@ def build_parser() -> argparse.ArgumentParser:
     la.add_argument("--kc", type=int, default=None,
                     help="override the per-ISA sweep k_c")
     la.add_argument("--chip", default=None,
-                    help="also check the scheduler fast-forward dyadic "
-                         "preconditions and the post-consult LRU cache "
-                         "export against this chip")
+                    help="also check the LRU cache export of a fresh "
+                         "hierarchy for this chip")
     la.add_argument("--json", action="store_true",
                     help="machine-readable JSON output")
     la.add_argument("--out", default=None,
@@ -1110,9 +1096,6 @@ def build_parser() -> argparse.ArgumentParser:
                          "with the workers")
     sv.add_argument("--no-replay", action="store_true",
                     help="disable the tile-replay fast path in workers")
-    sv.add_argument("--no-compile", action="store_true",
-                    help="disable compiled trace-template artifacts "
-                         "in workers")
     sv.add_argument("--no-family", action="store_true",
                     help="disable input-aware family projection on "
                          "registry misses (serve heuristic instead)")

@@ -196,7 +196,7 @@ def fuse_templates(templates: list[TraceTemplate]) -> TraceTemplate:
     fused_sched: list = []
     mem_chunks: list = []
     n_loads = 0
-    # Period structure for the scheduler's steady-state fast-forward: period
+    # Period structure for the compiled flow tables' segment reuse: period
     # *i* is the boundary interleave into tile *i* plus tile *i*'s body, and
     # its scheduling-stream content is a pure function of the (previous,
     # current) template identity pair -- `_merge_boundary` round-robins the

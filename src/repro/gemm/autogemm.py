@@ -47,7 +47,6 @@ class AutoGEMM:
         auto_tune: bool = False,
         tune_budget: int = 32,
         tune_jobs: int = 1,
-        use_compiled: bool = True,
         family_serve: bool = True,
         family_upgrade: bool = True,
         family_max_distance: float | None = None,
@@ -58,10 +57,7 @@ class AutoGEMM:
         are appended.  ``log_trials`` additionally persists every evaluated
         trial to the same file so tuning curves can be plotted later.
         ``use_replay=False`` disables the executor's tile-replay fast path
-        and re-interprets every tile (the ``--no-replay`` CLI opt-out);
-        ``use_compiled=False`` (``--no-compile``) keeps replay but runs it
-        through the interpreted per-op template walk instead of the compiled
-        structure-of-arrays artifacts.
+        and re-interprets every tile (the ``--no-replay`` CLI opt-out).
 
         ``registry`` names a persistent schedule registry file (see
         :class:`repro.tuner.registry.ScheduleRegistry`, or pass an already
@@ -86,15 +82,12 @@ class AutoGEMM:
         self._kernels = KernelCache()
         # One replay cache feeds both sides: micro-kernels the estimator
         # times become executor fast-path templates and vice versa.
-        self._replay = ReplayCache(
-            self.chip, self._kernels, use_compiled=use_compiled
-        )
+        self._replay = ReplayCache(self.chip, self._kernels)
         self.executor = GemmExecutor(
             self.chip,
             kernels=self._kernels,
             use_replay=use_replay,
             replay_cache=self._replay,
-            use_compiled=use_compiled,
         )
         self.estimator = GemmEstimator(
             self.chip, kernels=self._kernels, replay_cache=self._replay

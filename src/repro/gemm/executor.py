@@ -142,26 +142,17 @@ class GemmExecutor:
         launch_cycles: float = DEFAULT_LAUNCH_CYCLES,
         use_replay: bool = True,
         replay_cache: ReplayCache | None = None,
-        use_compiled: bool = True,
     ) -> None:
         """``use_replay`` enables the tile-replay fast path: each distinct
         (kernel, leading-dimension) combination is interpreted once and every
         further tile is applied as a vectorized functional update plus an
         address-rebased timing replay -- bit-exact with the interpreter by
         construction, and pinned by the equivalence tests.  ``replay_cache``
-        shares captured templates with other components (the estimator).
-
-        ``use_compiled`` (the CLI's ``--no-compile`` escape hatch when
-        False) additionally lowers each template to its structure-of-arrays
-        artifact so replays run through the batched cache consult and
-        vectorized scheduler -- same bit-exactness contract, another order
-        of magnitude less Python per tile.  It only matters when
-        ``use_replay`` is on."""
+        shares captured templates with other components (the estimator)."""
         self.chip = chip
         self.kernels = kernels if kernels is not None else GLOBAL_KERNEL_CACHE
         self.launch_cycles = launch_cycles
         self.use_replay = use_replay
-        self.use_compiled = use_compiled
         self.replay = (
             replay_cache if replay_cache is not None else ReplayCache(chip, self.kernels)
         )
@@ -783,13 +774,16 @@ class GemmExecutor:
             tpl, bases = bindings[idx]
             try:
                 pipeline = PipelineModel(
-                    self.chip, caches=caches, launch_cycles=self.launch_cycles,
-                    compile_templates=self.use_compiled,
+                    self.chip, caches=caches, launch_cycles=self.launch_cycles
                 )
                 if idx in traces:
                     timing = pipeline.time_trace(traces[idx])
                 else:
                     timing = pipeline.replay_template(tpl, bases)
+                    if timing is None:  # template.compile fault latched
+                        timing = pipeline.time_trace(
+                            template_to_trace(tpl, bases)
+                        )
             except _faults.RECOVERABLE_FAULTS:
                 self._degrade(degraded, "model_timing")
                 cycles += self._model_tile_cycles(tiles[idx], kc, schedule)
@@ -805,23 +799,24 @@ class GemmExecutor:
         )
 
     def _time_fused_block(self, caches, bindings, traces, replayed, stats):
-        """Time a fused block: template fusion when every tile has one,
-        trace fusion otherwise (materialising replayed tiles' traces so the
-        boundary interleave is identical either way)."""
+        """Time a fused block: template fusion when every tile has one and
+        the fused template compiles, trace fusion otherwise (materialising
+        replayed tiles' traces so the boundary interleave is identical
+        either way)."""
         pipeline = PipelineModel(
-            self.chip, caches=caches, launch_cycles=self.launch_cycles,
-            compile_templates=self.use_compiled,
+            self.chip, caches=caches, launch_cycles=self.launch_cycles
         )
+        timing = None
         if all(tpl is not None for tpl, _ in bindings):
             fused_tpl = self.replay.fused([tpl for tpl, _ in bindings])
             all_bases = tuple(b for _, bases in bindings for b in bases)
             timing = pipeline.replay_template(fused_tpl, all_bases)
-        else:
-            # A capture failed somewhere: fall back to trace-level fusion.
-            # Tiles that were functionally replayed still time exactly -- the
-            # materialised trace is the interpreted trace by construction.
-            # (With replay disabled this branch is simply the normal path,
-            # not a fallback -- keep the counter quiet then.)
+        if timing is None:
+            # A capture or compile failed somewhere: fall back to trace-level
+            # fusion.  Tiles that were functionally replayed still time
+            # exactly -- the materialised trace is the interpreted trace by
+            # construction.  (With replay disabled this branch is simply the
+            # normal path, not a fallback -- keep the counter quiet then.)
             if self.use_replay:
                 telemetry.count("replay.fallbacks", max(1, len(replayed)))
             ordered: list[Trace] = []

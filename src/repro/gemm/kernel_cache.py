@@ -121,14 +121,10 @@ class ReplayCache:
     """
 
     def __init__(
-        self,
-        chip: ChipSpec,
-        kernels: KernelCache | None = None,
-        use_compiled: bool = True,
+        self, chip: ChipSpec, kernels: KernelCache | None = None
     ) -> None:
         self.chip = chip
         self.kernels = kernels if kernels is not None else GLOBAL_KERNEL_CACHE
-        self.use_compiled = use_compiled
         self._cycles: dict[tuple[KernelKey, Residency], float] = {}
         self._templates: dict[
             tuple[KernelKey, tuple[int, int, int]], TraceTemplate
@@ -217,7 +213,7 @@ class ReplayCache:
         The first measurement of a shape interprets (and captures a
         template); further residencies of the same shape re-time by replay,
         which is bit-identical because the synthetic allocation layout is
-        deterministic.
+        deterministic.  A template that cannot be compiled re-interprets.
         """
         memo_key = (key, residency)
         cached = self._cycles.get(memo_key)
@@ -243,19 +239,16 @@ class ReplayCache:
             caches.warm_range(base_a, 4 * key.mr * key.kc, residency.a_level)
             caches.warm_range(base_b, 4 * key.kc * key.nr, residency.b_level)
             caches.warm_range(base_c, 4 * key.mr * key.nr, residency.c_level)
-            pipeline = PipelineModel(
-                self.chip, caches=caches,
-                compile_templates=self.use_compiled,
-            )
+            pipeline = PipelineModel(self.chip, caches=caches)
             with telemetry.span(
                 "time_kernel", mr=key.mr, nr=key.nr, kc=key.kc, replay=True
             ) as sp:
                 timing = pipeline.replay_template(tpl, (base_a, base_b, base_c))
-                measured = timing.cycles
-                sp.add_cycles(measured)
-            telemetry.count("replay.hits")
-            self._cycles[memo_key] = measured
-            return measured + launch
+                if timing is not None:
+                    sp.add_cycles(timing.cycles)
+                    telemetry.count("replay.hits")
+                    self._cycles[memo_key] = timing.cycles
+                    return timing.cycles + launch
 
         memory = Memory(size_bytes=1 << 24)
         rng = np.random.default_rng(1234)

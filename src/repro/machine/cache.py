@@ -188,7 +188,7 @@ class CacheHierarchy:
 
         With a fault plan installed the batch degrades to the scalar
         methods so every demand access polls the ``cache.access`` site at
-        the same call index as an interpreted walk would.
+        the same call index as ``PipelineModel.time_trace`` would.
         """
         n = len(addrs)
         levels = np.ones(n, np.uint8)

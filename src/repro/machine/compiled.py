@@ -1,11 +1,11 @@
 """Trace-template compilation: replay a captured kernel trace as arrays.
 
-A :class:`~repro.machine.simulator.TraceTemplate` replays by walking its
-memory ops one Python tuple at a time (the cache consult) and, on a new
-load-level signature, re-running a per-instruction Python scoreboard.  Both
-walks are pure functions of data that never changes after capture, so this
-module does the analysis once -- ``compile_template`` lowers a template into
-a :class:`CompiledTemplate`, a structure-of-arrays artifact:
+Replaying a :class:`~repro.machine.simulator.TraceTemplate` means running
+its memory ops through the cache hierarchy and, on a new load-level
+signature, re-running the scoreboard.  Both are driven by data that never
+changes after capture, so this module does the analysis once --
+``compile_template`` lowers a template into a :class:`CompiledTemplate`, a
+structure-of-arrays artifact:
 
 * **memory ops** as parallel integer arrays (``mem_kind`` / ``mem_op`` /
   ``mem_delta`` / ``mem_plevel``): one fancy-index add rebases every op's
@@ -20,26 +20,27 @@ a :class:`CompiledTemplate`, a structure-of-arrays artifact:
   latency and reciprocal throughput with fancy indexing before the
   scoreboard recurrence runs.
 
-The exactness contract is inherited unchanged from the replay engine: a
-compiled replay consults the cache hierarchy at the identical address
-sequence in identical program order, produces the identical level
-signature, and the scheduler evaluates identical float expressions in
-identical order -- cycle counts and cache state are bit-equal to the
-interpreted template walk (pinned by ``tests/test_gemm_compiled.py``).
-What cannot be vectorized exactly is the scoreboard recurrence itself
-(each instruction's issue time depends on earlier finish times through
-max-chains), so that loop stays in Python with everything order-invariant
--- address arithmetic, latency selection, level counting -- hoisted into
-array ops.
+The exactness contract is compiled = interpreter: a compiled replay
+consults the cache hierarchy at the identical address sequence in
+identical program order, produces the identical level signature, and the
+scheduler evaluates identical float expressions in identical order --
+cycle counts and cache state are bit-equal to timing the interpreted trace
+with ``PipelineModel.time_trace`` (pinned by
+``tests/test_gemm_compiled.py``).  What cannot be vectorized exactly is the
+scoreboard recurrence itself (each instruction's issue time depends on
+earlier finish times through max-chains), so that loop runs in the native
+C kernel (:mod:`repro.machine.native`) or its Python fallback, with
+everything order-invariant -- address arithmetic, latency selection, level
+counting -- hoisted into array ops.
 
 Compilation is deterministic and chip-independent (cache-line ids are
 derived at consult time from the target hierarchy's line size), so one
 artifact serves every chip and launch configuration; it is cached on the
 template (``template.compiled``) and dropped by
 ``TraceTemplate.invalidate_compiled``.  The ``template.compile`` fault
-site covers the lowering step: an injected fault falls back to the
-interpreted template walk -- the first rung of the
-compiled -> replay -> interpret -> reference degradation chain.
+site covers the lowering step: an injected fault latches the template's
+``compile_failed`` and its work is timed interpreted instead -- the first
+rung of the compiled -> interpret -> reference degradation chain.
 """
 
 from __future__ import annotations
@@ -96,7 +97,7 @@ class CompiledTemplate:
         Rebases the op stream (``bases[operand] + delta``) with one fancy
         index + add, hands the whole stream to the hierarchy's batched
         consult, and returns the per-load service-level signature --
-        byte-identical to the interpreted walk's ``bytearray``.
+        the levels the scalar ``access`` calls would return, in order.
         """
         bases_arr = np.asarray(bases, dtype=np.int64)
         addrs = bases_arr[self.mem_op]

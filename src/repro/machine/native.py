@@ -19,7 +19,7 @@ so its equality with the Python loop is purely a matter of control flow.
 
 Everything degrades gracefully: no compiler, no ``cffi``, an unwritable
 cache directory, or ``REPRO_NATIVE=0`` simply latches the native path off
-and the Python scoreboard (with its periodic steady-state fast-forward)
+and ``PipelineModel._scoreboard_dense`` -- the one Python scoreboard --
 serves instead, bit-identically.  Each latch bumps the ``native.latched``
 counter and records why in :func:`native_status`, so CI logs show the
 reason the C kernels are off instead of a silent fallback.

@@ -38,14 +38,6 @@ from .compiled import compile_template
 __all__ = ["TimingResult", "PipelineModel"]
 
 
-def _dyadic64(v: float) -> bool:
-    """True when ``v`` is an exact multiple of ``2**-6`` -- the grain every
-    scoreboard quantity must sit on for the periodic fast-forward's
-    bit-exactness argument (and what ``artifactcheck`` verifies per chip
-    instead of assuming)."""
-    return (v * 64.0).is_integer()
-
-
 @dataclass
 class TimingResult:
     """Outcome of timing one trace."""
@@ -74,12 +66,9 @@ class TimingResult:
 class PipelineModel:
     """Greedy scoreboard scheduler with a bounded reorder window.
 
-    ``compile_templates`` (default on) lets :meth:`replay_template` lower a
-    template into its :class:`~repro.machine.compiled.CompiledTemplate`
-    artifact on first use and replay through the batched cache consult +
-    vectorized scheduler -- bit-identical cycles/state, roughly an order of
-    magnitude less Python per tile.  ``compile_templates=False`` (the CLI's
-    ``--no-compile``) keeps the interpreted per-op template walk.
+    :meth:`time_trace` times an interpreted trace and is the reference
+    oracle; :meth:`replay_template` re-times a captured template through its
+    compiled artifact with bit-identical cycles and cache state.
     """
 
     #: Per-(chip name, interned unit tuple) scheduler tables, shared across
@@ -93,12 +82,10 @@ class PipelineModel:
         chip: ChipSpec,
         caches: CacheHierarchy | None = None,
         launch_cycles: float = 0.0,
-        compile_templates: bool = True,
     ) -> None:
         self.chip = chip
         self.caches = caches if caches is not None else CacheHierarchy(chip)
         self.launch_cycles = launch_cycles
-        self.compile_templates = compile_templates
 
     def time_trace(self, trace: Trace) -> TimingResult:
         if _faults._PLAN is not None:
@@ -212,76 +199,54 @@ class PipelineModel:
         )
 
     # -- replay fast path ---------------------------------------------------
-    def replay_template(self, template, bases: tuple[int, ...]) -> TimingResult:
+    def replay_template(
+        self, template, bases: tuple[int, ...]
+    ) -> TimingResult | None:
         """Re-time a captured trace template at new operand base addresses.
 
-        Walks only the template's memory ops (``base[operand] + delta``)
-        through the cache hierarchy -- the sole part of the timing model that
-        depends on concrete addresses -- then schedules through the identical
-        scoreboard arithmetic as :meth:`time_trace`.  Because the scheduler is
-        a pure function of (instruction stream, per-load service levels), the
-        schedule is memoised on the level signature: replays whose loads hit
-        the same levels in the same order are cycle-identical and skip the
-        Python scheduling loop entirely.
+        Lowers the template into its compiled artifact on first use, runs
+        every memory op (``base[operand] + delta``) through the cache
+        hierarchy in one batched consult -- the sole part of the timing
+        model that depends on concrete addresses -- then schedules through
+        the identical scoreboard arithmetic as :meth:`time_trace`.  Because
+        the scheduler is a pure function of (instruction stream, per-load
+        service levels), the schedule is memoised on the level signature:
+        replays whose loads hit the same levels in the same order are
+        cycle-identical and skip the scoreboard entirely.
 
-        With ``compile_templates`` on, the mem-op walk runs through the
-        template's compiled artifact (built lazily here; one batched
-        rebase + :meth:`CacheHierarchy.consult_batch` call instead of a
-        Python loop).  A fault injected at the ``template.compile`` site
-        latches ``template.compile_failed`` and degrades to the interpreted
-        walk -- the first rung of the compiled -> replay -> interpret ->
-        reference chain, and like every rung above ``interpret`` it is
-        cycle-exact, not merely bit-exact on C.
+        Returns ``None`` when the template cannot be compiled: a fault
+        injected at the ``template.compile`` site latches
+        ``template.compile_failed`` (counted as
+        ``degraded.compile_skipped``) before any cache is consulted, and the
+        caller times the same work interpreted instead -- cycle-exact, since
+        the interpreter is the reference replay is pinned against.
         """
         if _faults._PLAN is not None:
             _faults.check("pipeline.timing")
-        caches = self.caches
-        compiled = None
-        if self.compile_templates:
-            compiled = template.compiled
-            if compiled is None and not template.compile_failed:
-                try:
-                    compiled = compile_template(template)
-                except _faults.RECOVERABLE_FAULTS:
-                    template.compile_failed = True
-                    telemetry.count("degraded.compile_skipped")
-                else:
-                    template.compiled = compiled
-                    telemetry.count("compile.templates")
+        compiled = template.compiled
+        if compiled is None:
+            if template.compile_failed:
+                return None
+            try:
+                compiled = compile_template(template)
+            except _faults.RECOVERABLE_FAULTS:
+                template.compile_failed = True
+                telemetry.count("degraded.compile_skipped")
+                return None
+            template.compiled = compiled
+            telemetry.count("compile.templates")
 
         # Cache consults happen in program order, exactly as time_trace
         # interleaves them with scheduling; scheduling never mutates cache
         # state, so consulting first then scheduling is behaviour-preserving.
-        if compiled is not None:
-            signature = compiled.consult(bases, caches)
-            telemetry.count("replay.compiled_hits")
-        else:
-            access = caches.access
-            prefetch = caches.prefetch
-            levels = bytearray(template.n_loads)
-            i = 0
-            # Fused templates store several chunks, each rebasing its operand
-            # slots at ``off`` (tile index * 3) into the concatenated bases.
-            for off, ops in template.mem_chunks:
-                for kind, op_idx, delta, plevel in ops:
-                    addr = bases[off + op_idx] + delta
-                    if kind == 1:  # load
-                        levels[i] = access(addr)
-                        i += 1
-                    elif kind == 2:  # store
-                        access(addr, is_write=True)
-                    else:  # prefetch
-                        prefetch(addr, plevel)
-            signature = bytes(levels)
+        signature = compiled.consult(bases, self.caches)
+        telemetry.count("replay.compiled_hits")
 
         memo_store = template.timing_memo
         key = (self.chip.name, self.launch_cycles, signature)
         memo = memo_store.get(key)
         if memo is None:
-            if compiled is not None:
-                memo = self._schedule_compiled(template, compiled, signature)
-            else:
-                memo = self._schedule_template(template, signature)
+            memo = self._schedule_compiled(template, compiled, signature)
             memo_store[key] = memo
             telemetry.count("replay.memo_insertions")
             if len(memo_store) > template.memo_cap:
@@ -330,11 +295,11 @@ class PipelineModel:
         store/prefetch positions, and a gather of ``load_lat`` by the load
         signature at load positions -- and the level histogram is a single
         ``bincount``.  The scoreboard recurrence itself (issue times flowing
-        through register/unit/window max-chains) is inherently sequential,
-        so it remains a Python loop, but one stripped to the identical float
-        operations ``_schedule_template`` performs in identical order: the
-        gathered latencies are the same doubles the branchy dispatch would
-        have picked, so cycles are bit-equal.
+        through register/unit/window max-chains) is inherently sequential:
+        it runs in the native C kernel, or in :meth:`_scoreboard_dense` when
+        no toolchain is present.  Both perform :meth:`time_trace`'s float
+        operations in identical order on the same doubles its branchy
+        latency dispatch picks, so cycles are bit-equal.
         """
         rt, lat, load_lat, store_lat = self._tables(template.units)
         unit_arr, load_pos, store_pos, pref_pos = compiled.sched_tables(template)
@@ -348,18 +313,9 @@ class PipelineModel:
             lat_instr[load_pos] = np.asarray(load_lat, np.float64)[sig_arr]
 
         result = self._scoreboard_native(template, compiled, lat_instr)
-        if result is not None:
-            completion, dep_stall = result
-        else:
-            periods = template.sched_periods
-            if periods is not None and len(periods[1]) >= 8:
-                completion, dep_stall = self._scoreboard_periodic(
-                    template, lat_instr, periods
-                )
-            else:
-                completion, dep_stall = self._scoreboard_dense(
-                    template, lat_instr.tolist()
-                )
+        if result is None:
+            result = self._scoreboard_dense(template, lat_instr.tolist())
+        completion, dep_stall = result
 
         level_count = np.bincount(sig_arr, minlength=5)
         loads_by_level = {
@@ -411,7 +367,8 @@ class PipelineModel:
     def _scoreboard_dense(
         self, template, lat_list: list
     ) -> tuple[float, float]:
-        """The sequential scoreboard recurrence over pre-gathered latencies."""
+        """The sequential scoreboard recurrence over pre-gathered latencies:
+        the Python fallback for :meth:`_scoreboard_native`."""
         chip = self.chip
         launch = self.launch_cycles
         reg_ready = [0.0] * template.n_regs
@@ -468,665 +425,3 @@ class PipelineModel:
             t_fetch += fetch_step
 
         return completion, dep_stall
-
-    def _scoreboard_periodic(
-        self, template, lat_instr, periods
-    ) -> tuple[float, float]:
-        """Scoreboard pass that fast-forwards periodic steady state.
-
-        Fused block templates repeat one tile segment (boundary interleave +
-        body) hundreds of times.  Once two consecutive segment boundaries are
-        observed with every scoreboard value shifted by exactly the same
-        amount (``delta`` on live state, unchanged on dead state), one more
-        segment is executed in *verify mode* that tags every intermediate
-        value with its per-period drift rate and bounds how many further
-        periods every max-comparison keeps resolving the same way.  The
-        remaining periods inside that bound are then applied in closed form:
-        state shifts by ``m * rate`` per slot and the fetch-lag stall sum has
-        an arithmetic-series form.
-
-        Bit-exactness argument: all scoreboard quantities are multiples of
-        ``2**-6`` (checked per chip: decode/fetch step, unit latencies and
-        reciprocal throughputs, launch offset), so every addition the real
-        loop would perform is exact -- shifting the inputs of the recurrence
-        shifts its outputs with no rounding, and the closed-form sums equal
-        the step-by-step sums regardless of association.  A unit whose
-        reciprocal throughput is *not* dyadic (e.g. an IPC of 3) is handled
-        specially: its free time never participates in a winning comparison
-        (else we refuse to skip), we track the dyadic *start* of its last
-        issue instead, and after the skip its free time is rebuilt by the
-        exact expression ``shifted_start + rt`` the real loop would compute.
-        """
-        starts, keys = periods
-        sched = template.sched
-        lat_list = lat_instr.tolist()
-        rt, lat, load_lat, store_lat = self._tables(template.units)
-        chip = self.chip
-        launch = self.launch_cycles
-        n_regs = template.n_regs
-        n_units = len(template.units)
-
-        dyadic = _dyadic64
-
-        can_try = (
-            dyadic(1.0 / chip.decode_width)
-            and dyadic(launch)
-            and dyadic(store_lat)
-            and all(dyadic(v) for v in lat)
-            and all(dyadic(v) for v in load_lat)
-        )
-        tainted = [not dyadic(v) for v in rt]
-
-        reg_ready = [0.0] * n_regs
-        write_hist: list = [None] * n_regs
-        rename_limit = max(1, chip.rename_limit)
-        unit_free = [launch] * n_units
-        last_start = [launch] * n_units
-        window: deque[float] = deque()
-        window_size = max(1, chip.ooo_window)
-        completion = launch
-        dep_stall = 0.0
-        t_fetch = launch
-        fetch_step = 1.0 / chip.decode_width
-        make_hist = deque
-
-        n_periods = len(keys)
-        verify_budget = 64
-        ffwd_periods = 0
-        prev_snap = None
-        prev_key = None
-        i = 0
-        while i < n_periods:
-            s0 = starts[i]
-            s1 = starts[i + 1]
-            if (
-                can_try
-                and verify_budget > 0
-                and prev_snap is not None
-                and keys[i] == prev_key
-                and i + 1 < n_periods
-                and keys[i + 1] == keys[i]
-                and np.array_equal(lat_instr[starts[i - 1] : s0], lat_instr[s0:s1])
-            ):
-                # scoreboard state boxed so the verifier can update it
-                state = [
-                    reg_ready, write_hist, unit_free, last_start,
-                    window, completion, dep_stall, t_fetch,
-                ]
-                skipped = self._try_fast_forward(
-                    template, lat_instr, lat_list, starts, keys, i,
-                    prev_snap, tainted, rt,
-                    state, rename_limit, window_size, fetch_step,
-                )
-                if skipped is not None:
-                    # verify mode executed period i bit-exactly; `skipped`
-                    # further periods were applied in closed form
-                    verify_budget -= 1
-                    (reg_ready, write_hist, unit_free, last_start,
-                     window, completion, dep_stall, t_fetch) = state
-                    prev_snap = None
-                    prev_key = None
-                    ffwd_periods += skipped
-                    i += 1 + skipped
-                    continue
-                # rate derivation failed: nothing executed, run it plain
-            if can_try:
-                prev_snap = (
-                    list(reg_ready),
-                    [tuple(h) if h is not None else None for h in write_hist],
-                    list(unit_free),
-                    list(last_start),
-                    tuple(window),
-                    completion,
-                )
-                prev_key = keys[i]
-            for (ui, reads, writes, _kind), latency in zip(
-                sched[s0:s1], lat_list[s0:s1]
-            ):
-                ready = t_fetch
-                for reg in reads:
-                    t = reg_ready[reg]
-                    if t > ready:
-                        ready = t
-                for reg in writes:
-                    hist = write_hist[reg]
-                    if hist is not None and len(hist) >= rename_limit:
-                        t = hist[0]
-                        if t > ready:
-                            ready = t
-
-                uf = unit_free[ui]
-                start = ready if ready > uf else uf
-                if len(window) >= window_size and window[0] > start:
-                    start = window[0]
-                if ready > t_fetch:
-                    dep_stall += ready - t_fetch
-
-                finish = start + latency
-                unit_free[ui] = start + rt[ui]
-                last_start[ui] = start
-                for reg in writes:
-                    reg_ready[reg] = finish
-                    hist = write_hist[reg]
-                    if hist is None:
-                        hist = make_hist()
-                        write_hist[reg] = hist
-                    hist.append(finish)
-                    if len(hist) > rename_limit:
-                        hist.popleft()
-                if finish > completion:
-                    completion = finish
-
-                window.append(finish)
-                if len(window) > window_size:
-                    window.popleft()
-
-                t_fetch += fetch_step
-            i += 1
-
-        # trailing epilogue after the last period
-        for (ui, reads, writes, _kind), latency in zip(
-            sched[starts[n_periods] :], lat_list[starts[n_periods] :]
-        ):
-            ready = t_fetch
-            for reg in reads:
-                t = reg_ready[reg]
-                if t > ready:
-                    ready = t
-            for reg in writes:
-                hist = write_hist[reg]
-                if hist is not None and len(hist) >= rename_limit:
-                    t = hist[0]
-                    if t > ready:
-                        ready = t
-
-            uf = unit_free[ui]
-            start = ready if ready > uf else uf
-            if len(window) >= window_size and window[0] > start:
-                start = window[0]
-            if ready > t_fetch:
-                dep_stall += ready - t_fetch
-
-            finish = start + latency
-            unit_free[ui] = start + rt[ui]
-            for reg in writes:
-                reg_ready[reg] = finish
-                hist = write_hist[reg]
-                if hist is None:
-                    hist = make_hist()
-                    write_hist[reg] = hist
-                hist.append(finish)
-                if len(hist) > rename_limit:
-                    hist.popleft()
-            if finish > completion:
-                completion = finish
-
-            window.append(finish)
-            if len(window) > window_size:
-                window.popleft()
-
-            t_fetch += fetch_step
-
-        if ffwd_periods:
-            telemetry.count("replay.sched_ffwd", float(ffwd_periods))
-        return completion, dep_stall
-
-    def _try_fast_forward(
-        self, template, lat_instr, lat_list, starts, keys, i,
-        prev_snap, tainted, rt, state, rename_limit, window_size, fetch_step,
-    ):
-        """Verify one period with drift-rate tags and skip the steady run.
-
-        Returns ``None`` if no per-slot rate assignment explains the last
-        boundary-to-boundary shift (nothing is executed).  Otherwise period
-        ``i`` is executed bit-exactly in verify mode and the return value is
-        how many further periods were applied in closed form (0 when any
-        stability check failed).  ``state`` is updated in place either way.
-        """
-        (reg_ready, write_hist, unit_free, last_start,
-         window, completion, dep_stall, t_fetch) = state
-        (prev_rr, prev_hist, prev_uf, prev_ls, prev_win,
-         prev_completion) = prev_snap
-        s0 = starts[i]
-        s1 = starts[i + 1]
-        P = s1 - s0
-        fsP = P * fetch_step
-        delta = completion - prev_completion
-        if not (delta > 0.0 and delta >= fsP):
-            return None
-        n_regs = template.n_regs
-        n_units = len(template.units)
-
-        # -- derive per-slot drift rates from the observed boundary shift --
-        reg_rate = [0.0] * n_regs
-        for r in range(n_regs):
-            v = reg_ready[r]
-            p = prev_rr[r]
-            if v == p:
-                continue
-            if v == p + delta:
-                reg_rate[r] = delta
-            else:
-                return None
-        unit_rate = [0.0] * n_units
-        for u in range(n_units):
-            if tainted[u]:
-                v = last_start[u]
-                p = prev_ls[u]
-            else:
-                v = unit_free[u]
-                p = prev_uf[u]
-            if v == p:
-                continue
-            if v == p + delta:
-                unit_rate[u] = delta
-            else:
-                return None
-        if len(window) != len(prev_win):
-            return None
-        for v, p in zip(window, prev_win):
-            if v != p + delta:
-                return None
-        hist_seed = [None] * n_regs
-        for r in range(n_regs):
-            h = write_hist[r]
-            ph = prev_hist[r]
-            if h is None and ph is None:
-                continue
-            if h is None or ph is None or len(h) != len(ph):
-                return None
-            rates = []
-            for v, p in zip(h, ph):
-                if v == p:
-                    rates.append(0.0)
-                elif v == p + delta:
-                    rates.append(delta)
-                else:
-                    return None
-            hist_seed[r] = rates
-
-        # -- verify mode: execute period i, tagging every value with its
-        # per-period drift and bounding how long each comparison is stable --
-        seed_reg_rate = list(reg_rate)
-        seed_unit_rate = list(unit_rate)
-        base_rr = list(reg_ready)
-        base_uf = list(unit_free)
-        base_ls = list(last_start)
-        base_hist = [tuple(h) if h is not None else None for h in write_hist]
-        base_win = tuple(window)
-        base_completion = completion
-        hist_rt = [deque(x) if x is not None else None for x in hist_seed]
-        win_rate = deque([delta] * len(window))
-        comp_rate = delta
-        m_cap = 1 << 60
-        sigma = 0.0
-        gamma = 0.0
-        reject = False
-        PARANOIA = 1e-4
-        make_hist = deque
-
-        for (ui, reads, writes, _kind), latency in zip(
-            template.sched[s0:s1], lat_list[s0:s1]
-        ):
-            ready = t_fetch
-            r_rate = fsP
-            for reg in reads:
-                t = reg_ready[reg]
-                tr = reg_rate[reg]
-                if t > ready:
-                    if tr < r_rate:
-                        d = r_rate - tr
-                        m = int((t - ready) / d)
-                        while m * d >= t - ready:
-                            m -= 1
-                        if m < m_cap:
-                            m_cap = m
-                    ready = t
-                    r_rate = tr
-                elif t == ready:
-                    if tr > r_rate:
-                        r_rate = tr
-                elif tr > r_rate:
-                    d = tr - r_rate
-                    m = int((ready - t) / d)
-                    while m * d >= ready - t:
-                        m -= 1
-                    if m < m_cap:
-                        m_cap = m
-            for reg in writes:
-                hist = write_hist[reg]
-                if hist is not None and len(hist) >= rename_limit:
-                    t = hist[0]
-                    tr = hist_rt[reg][0]
-                    if t > ready:
-                        if tr < r_rate:
-                            d = r_rate - tr
-                            m = int((t - ready) / d)
-                            while m * d >= t - ready:
-                                m -= 1
-                            if m < m_cap:
-                                m_cap = m
-                        ready = t
-                        r_rate = tr
-                    elif t == ready:
-                        if tr > r_rate:
-                            r_rate = tr
-                    elif tr > r_rate:
-                        d = tr - r_rate
-                        m = int((ready - t) / d)
-                        while m * d >= ready - t:
-                            m -= 1
-                        if m < m_cap:
-                            m_cap = m
-
-            uf = unit_free[ui]
-            u_rate = unit_rate[ui]
-            if tainted[ui]:
-                # a non-dyadic free time may never win (its value drifts by
-                # ulps under the shift model), and must lose by a clear margin
-                margin = ready - uf
-                if margin <= PARANOIA:
-                    reject = True
-                elif u_rate > r_rate:
-                    d = u_rate - r_rate
-                    m = int((margin - PARANOIA) / d)
-                    while m * d >= margin - PARANOIA:
-                        m -= 1
-                    if m < m_cap:
-                        m_cap = m
-                start = ready
-                s_rate = r_rate
-            elif uf > ready:
-                if u_rate < r_rate:
-                    d = r_rate - u_rate
-                    m = int((uf - ready) / d)
-                    while m * d >= uf - ready:
-                        m -= 1
-                    if m < m_cap:
-                        m_cap = m
-                start = uf
-                s_rate = u_rate
-            elif uf == ready:
-                start = ready
-                s_rate = r_rate if r_rate >= u_rate else u_rate
-            else:
-                if u_rate > r_rate:
-                    d = u_rate - r_rate
-                    m = int((ready - uf) / d)
-                    while m * d >= ready - uf:
-                        m -= 1
-                    if m < m_cap:
-                        m_cap = m
-                start = ready
-                s_rate = r_rate
-
-            if len(window) >= window_size:
-                w0 = window[0]
-                w0r = win_rate[0]
-                if w0 > start:
-                    if w0r < s_rate:
-                        d = s_rate - w0r
-                        m = int((w0 - start) / d)
-                        while m * d >= w0 - start:
-                            m -= 1
-                        if m < m_cap:
-                            m_cap = m
-                    start = w0
-                    s_rate = w0r
-                elif w0 == start:
-                    if w0r > s_rate:
-                        s_rate = w0r
-                elif w0r > s_rate:
-                    d = w0r - s_rate
-                    m = int((start - w0) / d)
-                    while m * d >= start - w0:
-                        m -= 1
-                    if m < m_cap:
-                        m_cap = m
-
-            if ready > t_fetch:
-                stall = ready - t_fetch
-                dep_stall += stall
-                sigma += stall
-                gamma += r_rate - fsP
-            elif r_rate > fsP:
-                # zero stall this period, but the winner outgrows the fetch
-                # pointer: stall appears at rate (r_rate - fsP) per period
-                gamma += r_rate - fsP
-
-            finish = start + latency
-            f_rate = s_rate
-            unit_free[ui] = start + rt[ui]
-            unit_rate[ui] = s_rate
-            last_start[ui] = start
-            for reg in writes:
-                reg_ready[reg] = finish
-                reg_rate[reg] = f_rate
-                hist = write_hist[reg]
-                hr = hist_rt[reg]
-                if hist is None:
-                    hist = make_hist()
-                    write_hist[reg] = hist
-                    hr = make_hist()
-                    hist_rt[reg] = hr
-                hist.append(finish)
-                hr.append(f_rate)
-                if len(hist) > rename_limit:
-                    hist.popleft()
-                    hr.popleft()
-            if finish > completion:
-                if f_rate < comp_rate:
-                    d = comp_rate - f_rate
-                    m = int((finish - completion) / d)
-                    while m * d >= finish - completion:
-                        m -= 1
-                    if m < m_cap:
-                        m_cap = m
-                completion = finish
-                comp_rate = f_rate
-            elif finish == completion:
-                if f_rate > comp_rate:
-                    comp_rate = f_rate
-            elif f_rate > comp_rate:
-                d = f_rate - comp_rate
-                m = int((completion - finish) / d)
-                while m * d >= completion - finish:
-                    m -= 1
-                if m < m_cap:
-                    m_cap = m
-
-            window.append(finish)
-            win_rate.append(f_rate)
-            if len(window) > window_size:
-                window.popleft()
-                win_rate.popleft()
-
-            t_fetch += fetch_step
-
-        state[5] = completion
-        state[6] = dep_stall
-        state[7] = t_fetch
-
-        # -- stability checks: the transition must reproduce the seed tags
-        # and shift every slot by exactly its seed rate --
-        ok = not reject and m_cap > 0 and comp_rate == delta
-        ok = ok and completion == base_completion + delta
-        if ok:
-            for r in range(n_regs):
-                rr = seed_reg_rate[r]
-                if reg_rate[r] != rr or reg_ready[r] != base_rr[r] + rr:
-                    ok = False
-                    break
-        if ok:
-            for u in range(n_units):
-                ur = seed_unit_rate[u]
-                if unit_rate[u] != ur:
-                    ok = False
-                    break
-                if tainted[u]:
-                    if last_start[u] != base_ls[u] + ur:
-                        ok = False
-                        break
-                elif unit_free[u] != base_uf[u] + ur:
-                    ok = False
-                    break
-        if ok and len(window) == len(base_win):
-            for v, p, vr in zip(window, base_win, win_rate):
-                if vr != delta or v != p + delta:
-                    ok = False
-                    break
-        else:
-            ok = False
-        if ok:
-            for r in range(n_regs):
-                h = write_hist[r]
-                bh = base_hist[r]
-                sr = hist_seed[r]
-                if h is None and bh is None:
-                    continue
-                if h is None or bh is None or len(h) != len(bh):
-                    ok = False
-                    break
-                hr = hist_rt[r]
-                for v, p, vr, pr in zip(h, bh, hr, sr):
-                    if vr != pr or v != p + pr:
-                        ok = False
-                        break
-                if not ok:
-                    break
-        if not ok:
-            return 0
-
-        # -- how many following periods share this content? --
-        L = 0
-        j = i + 1
-        n_periods = len(keys)
-        while j < n_periods and keys[j] == keys[i]:
-            L += 1
-            j += 1
-        if L:
-            row = lat_instr[s0:s1]
-            block = lat_instr[s1 : s1 + L * P].reshape(L, P)
-            neq = np.flatnonzero(~(block == row).all(axis=1))
-            if neq.size:
-                L = int(neq[0])
-        m = m_cap if m_cap < L else L
-        if m <= 0:
-            return 0
-
-        # -- closed-form application of m further periods --
-        fm = float(m)
-        for r in range(n_regs):
-            rr = seed_reg_rate[r]
-            if rr:
-                reg_ready[r] += fm * rr
-        for u in range(n_units):
-            ur = seed_unit_rate[u]
-            if tainted[u]:
-                ls = last_start[u] + fm * ur if ur else last_start[u]
-                last_start[u] = ls
-                # the exact expression the real loop computes at last issue
-                unit_free[u] = ls + rt[u]
-            elif ur:
-                unit_free[u] += fm * ur
-                last_start[u] += fm * ur
-        state[4] = deque(v + fm * delta for v in window)
-        for r in range(n_regs):
-            h = write_hist[r]
-            if h is None:
-                continue
-            sr = hist_seed[r]
-            write_hist[r] = deque(
-                v + fm * q if q else v for v, q in zip(h, sr)
-            )
-        state[5] = completion + fm * delta
-        state[6] = dep_stall + fm * sigma + gamma * (fm * (fm + 1.0) / 2.0)
-        state[7] = t_fetch + fm * fsP
-        return m
-
-    def _schedule_template(
-        self, template, signature: bytes
-    ) -> tuple[float, float, dict[int, int]]:
-        """Scoreboard pass over a template given its load-level signature.
-
-        This is ``time_trace``'s scheduling loop with identical float
-        operations in identical order (cycle counts are bit-identical); the
-        cache model is replaced by the pre-computed ``signature`` and the
-        dict-of-register / dict-of-unit scoreboard state by flat lists
-        indexed with the template's interned integer ids -- hashing enum and
-        register objects dominates the dict version at millions of entries.
-        """
-        chip = self.chip
-        launch = self.launch_cycles
-        units = template.units
-        # Same float values as time_trace's per-unit tables: identical
-        # expressions evaluated per unit, only the lookup structure changes.
-        rt, lat, load_lat, store_lat = self._tables(units)
-        reg_ready = [0.0] * template.n_regs
-        write_hist: list = [None] * template.n_regs
-        rename_limit = max(1, chip.rename_limit)
-        unit_free = [launch] * len(units)
-        window: deque[float] = deque()
-        window_size = max(1, chip.ooo_window)
-        completion = launch
-        dep_stall = 0.0
-        level_count = [0] * 5
-        t_fetch = launch
-        fetch_step = 1.0 / chip.decode_width
-        load_i = 0
-        make_hist = deque
-
-        for ui, reads, writes, kind in template.sched:
-            ready = t_fetch
-            for reg in reads:
-                t = reg_ready[reg]
-                if t > ready:
-                    ready = t
-            for reg in writes:
-                hist = write_hist[reg]
-                if hist is not None and len(hist) >= rename_limit:
-                    t = hist[0]
-                    if t > ready:
-                        ready = t
-
-            uf = unit_free[ui]
-            start = ready if ready > uf else uf
-            if len(window) >= window_size and window[0] > start:
-                start = window[0]
-            if ready > t_fetch:
-                dep_stall += ready - t_fetch
-
-            if kind == 1:  # load
-                level = signature[load_i]
-                load_i += 1
-                level_count[level] += 1
-                latency = load_lat[level]
-            elif kind == 3:  # prefetch
-                latency = 1.0
-            elif kind == 2:  # store
-                latency = store_lat
-            else:
-                latency = lat[ui]
-
-            finish = start + latency
-            unit_free[ui] = start + rt[ui]
-            for reg in writes:
-                reg_ready[reg] = finish
-                hist = write_hist[reg]
-                if hist is None:
-                    hist = make_hist()
-                    write_hist[reg] = hist
-                hist.append(finish)
-                if len(hist) > rename_limit:
-                    hist.popleft()
-            if finish > completion:
-                completion = finish
-
-            window.append(finish)
-            if len(window) > window_size:
-                window.popleft()
-
-            t_fetch += fetch_step
-
-        loads_by_level = {lvl: level_count[lvl] for lvl in self.caches.level_ids}
-        return completion, dep_stall, loads_by_level

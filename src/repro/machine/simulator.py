@@ -73,10 +73,10 @@ class TraceTemplate:
 
     ``compiled`` lazily holds the template's structure-of-arrays artifact
     (:class:`~repro.machine.compiled.CompiledTemplate`), built on first
-    replay by a compile-enabled :class:`~repro.machine.pipeline.PipelineModel`
+    replay by :meth:`~repro.machine.pipeline.PipelineModel.replay_template`
     and dropped by :meth:`invalidate_compiled`; ``compile_failed`` latches an
-    injected/compile failure so the interpreted template walk is used without
-    re-attempting compilation on every tile.
+    injected compile failure so callers time the template's work interpreted
+    without re-attempting compilation on every tile.
     """
 
     __slots__ = (
@@ -171,8 +171,10 @@ class TraceTemplate:
         self.regs = regs
         self.n_regs = len(regs)
         #: Optional ``(starts, keys)`` periodic structure of ``sched`` set by
-        #: template fusion; lets the scheduler fast-forward identical steady
-        #: state periods.  ``None`` for plain captured templates.
+        #: template fusion, one period per fused tile: equal keys name
+        #: value-equal segments, so the compiled flow tables build each
+        #: distinct segment once, and the artifact checker's interval pass
+        #: counts operand slots by it.  ``None`` for plain captured templates.
         self.sched_periods = None
 
     @classmethod

@@ -120,7 +120,6 @@ class ServeConfig:
         breaker_threshold: int = 3,
         breaker_cooldown: float = 30.0,
         use_replay: bool = True,
-        use_compiled: bool = True,
         family_serve: bool = True,
         upgrade_budget: int = 8,
     ) -> None:
@@ -138,7 +137,6 @@ class ServeConfig:
         self.breaker_threshold = breaker_threshold
         self.breaker_cooldown = breaker_cooldown
         self.use_replay = use_replay
-        self.use_compiled = use_compiled
         self.family_serve = family_serve
         self.upgrade_budget = upgrade_budget
 
@@ -155,7 +153,6 @@ def _build_engine(config: ServeConfig):
         config.chip,
         registry=config.registry,
         use_replay=config.use_replay,
-        use_compiled=config.use_compiled,
         family_serve=config.family_serve,
         family_upgrade=False,
         tune_budget=config.upgrade_budget,

@@ -72,17 +72,13 @@ def fused():
 class TestVerifyArtifact:
     def test_clean_plain(self, plain):
         tpl, compiled, extents = plain
-        rep = verify_artifact(
-            tpl, compiled, chip=GRAVITON2, extents=extents
-        )
+        rep = verify_artifact(tpl, compiled, extents=extents)
         assert rep.ok and not rep.warnings
 
     def test_clean_fused(self, fused):
         tpl, compiled, extents = fused
         assert tpl.sched_periods is not None
-        rep = verify_artifact(
-            tpl, compiled, chip=GRAVITON2, extents=extents
-        )
+        rep = verify_artifact(tpl, compiled, extents=extents)
         assert rep.ok and not rep.warnings
 
     def test_detects_reordered_stream(self, plain):
@@ -208,7 +204,7 @@ class TestSweep:
 
 class TestMutationSelfTest:
     def test_detection_rate_holds_the_bar(self):
-        report = run_artifact_mutation_suite(chip=GRAVITON2)
+        report = run_artifact_mutation_suite()
         assert report.total >= 50
         assert set(o.mutant.cls for o in report.outcomes) == set(
             ARTIFACT_MUTATION_CLASSES

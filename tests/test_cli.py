@@ -164,7 +164,7 @@ class TestBenchCompare:
         return attach_fingerprint({
             "benchmark": "tile_replay_wallclock",
             "chip": "Graviton2",
-            "replay_seconds": 30.0,
+            "compiled_seconds": 30.0,
             "speedup": 12.0,
             "exact": True,
             "simulated_cycles": 100.5,
@@ -186,7 +186,7 @@ class TestBenchCompare:
     def test_regression_exits_22(self, capsys, tmp_path):
         old = self._write(tmp_path, "old.json", self._payload())
         worse = self._payload()
-        worse["replay_seconds"] = 90.0
+        worse["compiled_seconds"] = 90.0
         new = self._write(tmp_path, "new.json", worse)
         code, out = run_cli(capsys, "bench", "compare", old, new, "--json")
         assert code == 22
@@ -200,7 +200,7 @@ class TestBenchCompare:
         old = self._write(tmp_path, "old.json", self._payload())
         foreign = self._payload()
         foreign["machine"]["cpus"] += 7
-        foreign["replay_seconds"] = 900.0
+        foreign["compiled_seconds"] = 900.0
         new = self._write(tmp_path, "new.json", foreign)
         code, out = run_cli(capsys, "bench", "compare", old, new)
         assert code == 0

@@ -1,23 +1,21 @@
-"""Compiled trace templates: bit-exact equivalence with replay and interpret.
+"""Compiled trace templates: bit-exact equivalence with the interpreter.
 
-The compiled layer inherits the replay engine's exactness contract and adds
-nothing to it: for any problem, ``use_compiled=True`` (the default) must
-produce byte-identical ``C`` and identical ``cycles`` / ``instructions`` /
-``loads_by_level`` / ``phase_cycles`` to *both* the interpreted-walk replay
-path (``use_compiled=False``) and full interpretation (``use_replay=False``).
-These tests pin the three-way contract across the same matrix the replay
-tests cover, the batched cache consult's state equality against the scalar
-methods, the timing-memo LRU bound, and the compiled -> replay -> interpret
--> reference degradation chain.
+Replay runs through compiled artifacts and has one exactness contract:
+compiled = interpreter.  For any problem, replay (the default) must produce
+byte-identical ``C`` and identical ``cycles`` / ``instructions`` /
+``loads_by_level`` / ``phase_cycles`` to full interpretation
+(``use_replay=False``).  These tests pin that contract across the same
+matrix the replay tests cover, compiled replay against the ``time_trace``
+oracle, the batched cache consult's state equality against the scalar
+methods, the native kernels against their Python fallbacks, the
+timing-memo LRU bound, and the compiled -> interpret -> reference
+degradation chain.
 """
-
-import json
 
 import numpy as np
 import pytest
 
 from repro import telemetry
-from repro.cli import main as cli_main
 from repro.faults import plan as faults
 from repro.gemm import AutoGEMM, GemmExecutor, KernelKey, ReplayCache, Residency
 from repro.gemm.reference import sgemm
@@ -26,7 +24,7 @@ from repro.machine.cache import CacheHierarchy
 from repro.machine.chips import A64FX, GRAVITON2, KP920
 from repro.machine.compiled import compile_template
 from repro.machine.pipeline import PipelineModel
-from repro.machine.simulator import DEFAULT_TIMING_MEMO_CAP
+from repro.machine.simulator import DEFAULT_TIMING_MEMO_CAP, template_to_trace
 
 
 def result_fields(r):
@@ -40,20 +38,14 @@ def result_fields(r):
 
 
 def assert_equivalent(chip, m, n, k, schedule=None, beta=1.0, threads=1, warm=True):
-    """Three-way equality: compiled == interpreted replay == interpreter."""
+    """Two-way equality: compiled replay == interpreter."""
     rng = np.random.default_rng(m * 1_000_003 + n * 1_009 + k)
     a = rng.standard_normal((m, k)).astype(np.float32)
     b = rng.standard_normal((k, n)).astype(np.float32)
     c = rng.standard_normal((m, n)).astype(np.float32) if beta != 0.0 else None
     kwargs = dict(schedule=schedule, beta=beta, threads=threads, warm=warm)
-    compiled = GemmExecutor(chip, use_replay=True, use_compiled=True).run(
-        a, b, c, **kwargs
-    )
-    replay = GemmExecutor(chip, use_replay=True, use_compiled=False).run(
-        a, b, c, **kwargs
-    )
+    compiled = GemmExecutor(chip, use_replay=True).run(a, b, c, **kwargs)
     interp = GemmExecutor(chip, use_replay=False).run(a, b, c, **kwargs)
-    assert result_fields(compiled) == result_fields(replay)
     assert result_fields(compiled) == result_fields(interp)
     return compiled
 
@@ -194,22 +186,23 @@ class TestCompiledArtifact:
         assert art.mem_op.tolist() == [f[1] for f in flat]
         assert art.mem_delta.tolist() == [f[2] for f in flat]
 
-    def test_replay_signature_and_cycles_match_interpreted_walk(self):
+    def test_replay_matches_time_trace_oracle(self):
+        """Compiled replay == ``time_trace`` of the materialised trace, on
+        fresh caches, over a cold then a warm replay of the same tile."""
         tpl = self._template()
         bases = (64, 8256, 12352)
-        timings = []
-        for compile_on in (True, False):
-            model = PipelineModel(
-                GRAVITON2,
-                caches=CacheHierarchy(GRAVITON2),
-                compile_templates=compile_on,
+        tpl.timing_memo.clear()  # force the replay through the scoreboard
+        replay = PipelineModel(GRAVITON2, caches=CacheHierarchy(GRAVITON2))
+        oracle = PipelineModel(GRAVITON2, caches=CacheHierarchy(GRAVITON2))
+        for _ in range(2):
+            got = replay.replay_template(tpl, bases)
+            want = oracle.time_trace(template_to_trace(tpl, bases))
+            assert got.cycles == want.cycles
+            assert got.stall_cycles == want.stall_cycles
+            assert got.loads_by_level == want.loads_by_level
+            assert TestConsultBatch._state(replay.caches) == (
+                TestConsultBatch._state(oracle.caches)
             )
-            tpl.timing_memo.clear()  # force both paths through scheduling
-            timings.append(model.replay_template(tpl, bases))
-        compiled_t, interp_t = timings
-        assert compiled_t.cycles == interp_t.cycles
-        assert compiled_t.stall_cycles == interp_t.stall_cycles
-        assert compiled_t.loads_by_level == interp_t.loads_by_level
 
     def test_invalidate_compiled(self):
         tpl = self._template()
@@ -273,21 +266,23 @@ class TestMemoLRU:
 
 class TestDegradationChain:
     def test_compile_fault_degrades_to_interpreted_replay(self):
-        """Rung 1: a compile fault falls back to the interpreted template
-        walk -- cycles and C identical to a fault-free run."""
+        """Rung 1: a compile fault times per-tile templates and fused blocks
+        interpreted -- C, cycles, loads and phases identical to a fault-free
+        run, for the heuristic schedule and a fused one."""
         rng = np.random.default_rng(11)
         a = rng.standard_normal((64, 48)).astype(np.float32)
         b = rng.standard_normal((48, 40)).astype(np.float32)
-        clean = AutoGEMM(GRAVITON2).gemm(a, b)
-        plan = faults.FaultPlan(
-            [faults.FaultSpec("template.compile", probability=1.0)]
-        )
-        with faults.injecting(plan), telemetry.collecting() as col:
-            faulted = AutoGEMM(GRAVITON2).gemm(a, b)
-        assert plan.total_injected() > 0
-        assert result_fields(faulted) == result_fields(clean)
-        assert col.counters.get("degraded.compile_skipped", 0) > 0
-        assert col.counters.get("replay.compiled_hits", 0) == 0
+        for schedule in (None, Schedule(mc=32, nc=32, kc=48, fuse=True)):
+            clean = AutoGEMM(GRAVITON2).gemm(a, b, schedule=schedule)
+            plan = faults.FaultPlan(
+                [faults.FaultSpec("template.compile", probability=1.0)]
+            )
+            with faults.injecting(plan), telemetry.collecting() as col:
+                faulted = AutoGEMM(GRAVITON2).gemm(a, b, schedule=schedule)
+            assert plan.total_injected() > 0
+            assert result_fields(faulted) == result_fields(clean)
+            assert col.counters.get("degraded.compile_skipped", 0) > 0
+            assert col.counters.get("replay.compiled_hits", 0) == 0
 
     def test_chain_to_interpret_and_reference(self):
         """Rungs 2..4: faults on compile + capture + replay-apply push tiles
@@ -311,18 +306,6 @@ class TestDegradationChain:
         assert plan.total_injected() > 0
         assert result.c.tobytes() == want.tobytes()
         assert result.degraded
-
-
-class TestCliOptOut:
-    def test_no_compile_matches_default(self, capsys):
-        code = cli_main(["gemm", "24", "24", "24", "--json"])
-        fast = json.loads(capsys.readouterr().out)
-        assert code == 0
-        code = cli_main(["gemm", "24", "24", "24", "--json", "--no-compile"])
-        slow = json.loads(capsys.readouterr().out)
-        assert code == 0
-        for field in ("cycles", "instructions", "relative_error", "phase_cycles"):
-            assert fast[field] == slow[field]
 
 
 class TestNativeKernels:
@@ -388,19 +371,28 @@ class TestNativeKernels:
             h_python
         )
 
-    def test_scoreboard_native_matches_python(self, monkeypatch):
+    @pytest.mark.parametrize("chip", [GRAVITON2, KP920, A64FX], ids=lambda c: c.name)
+    def test_scoreboard_native_matches_python(self, monkeypatch, chip):
+        """C scoreboard == ``_scoreboard_dense`` on fused blocks of eight or
+        more tiles, including KP920's non-dyadic reciprocal throughputs."""
         self._require_native()
         rng = np.random.default_rng(5)
-        a = rng.standard_normal((48, 32)).astype(np.float32)
-        b = rng.standard_normal((32, 48)).astype(np.float32)
+        a = rng.standard_normal((64, 32)).astype(np.float32)
+        b = rng.standard_normal((32, 64)).astype(np.float32)
+        schedule = Schedule(mc=64, nc=64, kc=32, fuse=True)
 
+        native_run = GemmExecutor(chip)
         with telemetry.collecting() as col:
-            fast = GemmExecutor(GRAVITON2, use_compiled=True).run(a, b)
+            fast = native_run.run(a, b, schedule=schedule)
         assert col.counters.get("replay.sched_native", 0) >= 1
+        assert any(
+            len(tpl.sched_periods[1]) >= 8
+            for tpl in native_run.replay._fused.values()
+        )
 
         self._native_off(monkeypatch)
         with telemetry.collecting() as col:
-            slow = GemmExecutor(GRAVITON2, use_compiled=True).run(a, b)
+            slow = GemmExecutor(chip).run(a, b, schedule=schedule)
         assert "replay.sched_native" not in col.counters
         assert result_fields(fast) == result_fields(slow)
 
@@ -436,10 +428,10 @@ class TestNativeKernels:
         rng = np.random.default_rng(9)
         a = rng.standard_normal((32, 24)).astype(np.float32)
         b = rng.standard_normal((24, 32)).astype(np.float32)
-        latched = GemmExecutor(GRAVITON2, use_compiled=True).run(a, b)
+        latched = GemmExecutor(GRAVITON2).run(a, b)
         self._unbuilt(monkeypatch)
         monkeypatch.setenv("REPRO_NATIVE", "0")
-        forced_off = GemmExecutor(GRAVITON2, use_compiled=True).run(a, b)
+        forced_off = GemmExecutor(GRAVITON2).run(a, b)
         assert result_fields(latched) == result_fields(forced_off)
 
     def test_unwritable_cache_dir_latches(self, monkeypatch, tmp_path):

@@ -26,10 +26,8 @@ def make_payload(**overrides):
         "chip": "Graviton2",
         "shape": {"m": 512, "n": 512, "k": 512},
         "smoke": False,
-        "replay_seconds": 30.0,
         "compiled_seconds": 5.0,
         "speedup": 12.0,
-        "compiled_speedup": 6.0,
         "exact": True,
         "simulated_cycles": 123456.5,
         "instructions": 789,
@@ -74,14 +72,14 @@ class TestCompare:
 
     def test_slower_wallclock_is_a_regression(self):
         report = compare(
-            make_payload(), make_payload(replay_seconds=90.0)
+            make_payload(), make_payload(compiled_seconds=15.0)
         )
         assert not report.ok
-        assert [v.metric for v in report.regressions] == ["replay_seconds"]
+        assert [v.metric for v in report.regressions] == ["compiled_seconds"]
 
     def test_wallclock_jitter_within_threshold_is_ok(self):
         report = compare(
-            make_payload(), make_payload(replay_seconds=33.0)
+            make_payload(), make_payload(compiled_seconds=5.5)
         )
         assert report.ok
 
@@ -102,10 +100,10 @@ class TestCompare:
         assert not report.ok
 
     def test_faster_run_is_improved_not_regression(self):
-        report = compare(make_payload(), make_payload(replay_seconds=10.0))
+        report = compare(make_payload(), make_payload(compiled_seconds=1.5))
         assert report.ok
         improved = [v for v in report.verdicts if v.status == "improved"]
-        assert [v.metric for v in improved] == ["replay_seconds"]
+        assert [v.metric for v in improved] == ["compiled_seconds"]
 
     def test_fingerprint_mismatch_skips(self):
         fp = machine_fingerprint()
@@ -170,7 +168,7 @@ class TestCompare:
         assert report.regressions[0].metric == "registry.second_call_trials"
 
     def test_report_round_trips_through_json(self):
-        report = compare(make_payload(), make_payload(replay_seconds=90.0))
+        report = compare(make_payload(), make_payload(compiled_seconds=15.0))
         payload = json.loads(json.dumps(report.to_dict()))
         assert payload["ok"] is False
         assert payload["benchmark"] == "tile_replay_wallclock"
