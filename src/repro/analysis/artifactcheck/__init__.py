@@ -36,7 +36,7 @@ under ``REPRO_STATICCHECK=1``.  See ``docs/static-analysis.md``
 from .checker import sweep_artifacts, verify_artifact
 from .intervals import (
     DEFAULT_ADDR_BOUND,
-    check_cache_export,
+    check_cache_slots,
     check_intervals,
 )
 from .lowering import check_lowering
@@ -52,7 +52,7 @@ __all__ = [
     "sweep_artifacts",
     "check_lowering",
     "check_intervals",
-    "check_cache_export",
+    "check_cache_slots",
     "DEFAULT_ADDR_BOUND",
     "ARTIFACT_MUTATION_CLASSES",
     "enumerate_artifact_mutants",

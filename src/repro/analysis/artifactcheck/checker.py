@@ -16,7 +16,7 @@ CI gate: every generatable Table II shape per ISA is generated,
 interpreted once, captured, compiled, and verified -- including operand
 extents measured from the simulation's actual allocations -- plus one
 fused block per Figure 4 boundary mode (long enough to carry a real
-period structure) and the native LRU-export well-formedness check.
+period structure) and the LRU slot-array well-formedness check.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from ..staticcheck.verifier import (
     _fusion_pair_shapes,
     _simulate_kernel,
 )
-from .intervals import check_cache_export, check_intervals
+from .intervals import check_cache_slots, check_intervals
 from .lowering import check_lowering
 
 __all__ = ["verify_artifact", "sweep_artifacts", "gate_compiled"]
@@ -52,7 +52,7 @@ def verify_artifact(
 
     ``compiled`` defaults to the template's cached artifact; ``extents``
     (operand slot -> bytes spanned) tightens the delta interval check,
-    and ``caches`` adds the LRU-export well-formedness pass.
+    and ``caches`` adds the LRU slot-array well-formedness pass.
     """
     if compiled is None:
         compiled = template.compiled
@@ -62,7 +62,7 @@ def verify_artifact(
     check_lowering(template, compiled, report)
     check_intervals(template, compiled, report, extents=extents)
     if caches is not None:
-        check_cache_export(caches, report)
+        check_cache_slots(caches, report)
     return report.finalize()
 
 
@@ -112,7 +112,7 @@ def sweep_artifacts(
     artifact -- ``lint-kernels`` still budget-checks them analytically).
     With ``fusion=True`` one fused block per Figure 4 boundary mode is
     built per ISA, repeated to eight tiles so the period structure is
-    exercised for real.  A ``chip`` contributes one LRU-export report for
+    exercised for real.  A ``chip`` contributes one LRU slot-array report for
     a fresh hierarchy.
     """
     from ...codegen.fusion import fuse_templates
@@ -209,7 +209,7 @@ def sweep_artifacts(
     if chip is not None:
         from ...machine.cache import CacheHierarchy
 
-        rep = Report(f"cache-export:{chip.name}")
-        check_cache_export(CacheHierarchy(chip), rep)
+        rep = Report(f"cache-slots:{chip.name}")
+        check_cache_slots(CacheHierarchy(chip), rep)
         emit(rep.finalize())
     return reports

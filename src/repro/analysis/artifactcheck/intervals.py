@@ -21,9 +21,9 @@ bounds regardless of operand bases or cache geometry:
   and, when operand extents are supplied, within each operand's span;
 * ``bases[op] + delta`` provably free of int64 overflow for any base
   below :data:`DEFAULT_ADDR_BOUND`;
-* LRU slot arrays well-formed for the strided export ``_consult_native``
-  performs (occupancy never above associativity, geometry consistent),
-  via :func:`check_cache_export`.
+* the hierarchy's LRU slot arrays well-formed for ``repro_consult``
+  (array sizes match the geometry, occupancy within associativity), via
+  :func:`check_cache_slots`.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import numpy as np
 from ...machine.native import MAX_UNITS
 from ..staticcheck.findings import Report, Severity
 
-__all__ = ["DEFAULT_ADDR_BOUND", "check_intervals", "check_cache_export"]
+__all__ = ["DEFAULT_ADDR_BOUND", "check_intervals", "check_cache_slots"]
 
 _KIND_LOAD, _KIND_STORE, _KIND_PREFETCH = 1, 2, 3
 
@@ -215,50 +215,64 @@ def check_intervals(
         )
 
 
-def check_cache_export(caches, report: Report) -> None:
-    """Prove a hierarchy's LRU state safe for the strided native export.
+def check_cache_slots(caches, report: Report) -> None:
+    """Prove a hierarchy's live LRU slot arrays safe for ``repro_consult``.
 
-    ``_consult_native`` packs level ``l`` set ``s`` at
-    ``tags[tag_base[l] + s * ways]`` with occupancy ``set_len``; the C
-    kernel then shifts within ``slot[0 .. ways)``.  Any set holding more
-    tags than its associativity, or a level whose dict count disagrees
-    with its geometry, corrupts a neighbouring set's slots.
+    The kernel reads level ``l`` set ``s`` at ``tags[tag_base[l] + s * ways]``
+    with occupancy ``lens[s]`` and shifts within ``slot[0 .. ways)``.  A tag
+    or length array shorter than its geometry implies, or an occupancy
+    outside ``[0, ways]``, reads or writes past the array or into a
+    neighbouring set's slots.
     """
+    n_tags = n_lens = 0
     for lvl, cache in caches.levels:
-        if cache.num_sets < 1 or cache.ways < 1:
+        sets, ways = cache.num_sets, cache.ways
+        n_tags += sets * ways
+        n_lens += sets
+        if (
+            sets < 1
+            or ways < 1
+            or cache.tags.size != sets * ways
+            or cache.lens.size != sets
+        ):
             report.add(
                 "cache-geometry",
                 Severity.ERROR,
-                f"L{lvl}: degenerate geometry "
-                f"({cache.num_sets} set(s) x {cache.ways} way(s))",
+                f"L{lvl}: {cache.tags.size} tag slot(s) and "
+                f"{cache.lens.size} length(s) for {sets} set(s) x "
+                f"{ways} way(s)",
             )
             continue
-        if len(cache._sets) != cache.num_sets:
+        lens = cache.lens
+        bad = np.flatnonzero((lens < 0) | (lens > ways))
+        if bad.size:
+            s = int(bad[0])
             report.add(
-                "cache-geometry",
+                "lru-occupancy",
                 Severity.ERROR,
-                f"L{lvl}: {len(cache._sets)} set dict(s) for "
-                f"{cache.num_sets} geometric set(s)",
+                f"L{lvl} set {s}: occupancy {int(lens[s])} outside "
+                f"[0, {ways}] -- the kernel would shift into the next "
+                "set's slots",
+                index=s,
             )
             continue
-        for s, entries in enumerate(cache._sets):
-            if len(entries) > cache.ways:
-                report.add(
-                    "lru-occupancy",
-                    Severity.ERROR,
-                    f"L{lvl} set {s}: {len(entries)} resident tag(s) "
-                    f"exceed associativity {cache.ways} -- the strided "
-                    "export would overflow into the next set's slots",
-                    index=s,
-                )
-                break
-        for s, entries in enumerate(cache._sets):
-            if any(tag < 0 for tag in entries):
-                report.add(
-                    "lru-negative-tag",
-                    Severity.WARNING,
-                    f"L{lvl} set {s}: negative tag resident -- C floor "
-                    "division would disagree with Python on this line",
-                    index=s,
-                )
-                break
+        resident = np.arange(ways) < lens[:, None]
+        negative = (cache.tags.reshape(sets, ways) < 0) & resident
+        neg_sets = np.flatnonzero(negative.any(axis=1))
+        if neg_sets.size:
+            s = int(neg_sets[0])
+            report.add(
+                "lru-negative-tag",
+                Severity.WARNING,
+                f"L{lvl} set {s}: negative tag resident -- C floor "
+                "division would disagree with Python on this line",
+                index=s,
+            )
+    if caches.tags.size != n_tags or caches.lens.size != n_lens:
+        report.add(
+            "cache-geometry",
+            Severity.ERROR,
+            f"hierarchy: {caches.tags.size} tag slot(s) and "
+            f"{caches.lens.size} length(s) where its levels need "
+            f"{n_tags} and {n_lens}",
+        )

@@ -19,8 +19,7 @@ kernels and through the pure-Python paths, and diffs the results
 bit-for-bit: cycles, stall cycles, per-level load histograms, and the
 complete post-replay LRU cache state.  Under a sanitized build this is the
 "zero sanitizer reports" acceptance leg; under a plain build it doubles as
-a native-vs-Python equivalence fuzz.  ``NATIVE_MIN_KEPT`` is lowered for
-the native leg so ``repro_consult`` engages even on small streams.
+a native-vs-Python equivalence fuzz.
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ...machine import cache as cache_mod
 from ...machine import native
 from ...machine.cache import CacheHierarchy
 from ...machine.chips import get_chip
@@ -94,7 +92,7 @@ class DifferentialReport:
 def _cache_state(caches: CacheHierarchy) -> list:
     """The complete LRU state, order-sensitively, for bit-for-bit diffs."""
     return [
-        (lvl, [list(entries) for entries in cache._sets])
+        (lvl, [cache.resident(s) for s in range(cache.num_sets)])
         for lvl, cache in caches.levels
     ]
 
@@ -106,11 +104,8 @@ def _replay(chip, template, bases, *, use_native: bool):
     full consult + schedule work instead of serving each other's memo.
     """
     saved = (native._native, native._failed, native._status)
-    saved_min_kept = cache_mod.NATIVE_MIN_KEPT
     try:
-        if use_native:
-            cache_mod.NATIVE_MIN_KEPT = 1
-        else:
+        if not use_native:
             native._native = None
             native._failed = True
             native._status = "forced off (differential)"
@@ -130,7 +125,6 @@ def _replay(chip, template, bases, *, use_native: bool):
         )
     finally:
         native._native, native._failed, native._status = saved
-        cache_mod.NATIVE_MIN_KEPT = saved_min_kept
 
 
 def _random_cases(rng, n_cases: int):

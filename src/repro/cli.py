@@ -991,7 +991,7 @@ def build_parser() -> argparse.ArgumentParser:
     la.add_argument("--kc", type=int, default=None,
                     help="override the per-ISA sweep k_c")
     la.add_argument("--chip", default=None,
-                    help="also check the LRU cache export of a fresh "
+                    help="also check the LRU slot arrays of a fresh "
                          "hierarchy for this chip")
     la.add_argument("--json", action="store_true",
                     help="machine-readable JSON output")

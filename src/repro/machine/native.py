@@ -14,13 +14,15 @@ binary64 operations in the identical order as the Python loop in
 contractible multiply-add pairs -- so results are bit-equal on any platform
 where CPython floats are hardware doubles (everywhere we run).  The kernel is
 compiled with ``-fno-fast-math`` to keep the compiler from re-associating.
-The consult kernel is integer-only (set/tag arithmetic and LRU reordering),
-so its equality with the Python loop is purely a matter of control flow.
+The consult kernel is integer-only (set/tag arithmetic and LRU reordering)
+and mutates the hierarchy's slot arrays in place, so its equality with the
+scalar ``CacheHierarchy.access`` / ``prefetch`` walk (``cache._walk``) is
+purely a matter of control flow.
 
 Everything degrades gracefully: no compiler, no ``cffi``, an unwritable
 cache directory, or ``REPRO_NATIVE=0`` simply latches the native path off
-and ``PipelineModel._scoreboard_dense`` -- the one Python scoreboard --
-serves instead, bit-identically.  Each latch bumps the ``native.latched``
+and the Python paths -- ``PipelineModel._scoreboard_dense`` and
+``cache._walk`` -- serve instead, bit-identically.  Each latch bumps the ``native.latched``
 counter and records why in :func:`native_status`, so CI logs show the
 reason the C kernels are off instead of a silent fallback.
 
@@ -157,46 +159,40 @@ int repro_scoreboard(
 /* --- set-associative LRU consult kernel ------------------------------- */
 
 /* One cache set is a slot array ordered LRU-first (index 0 = next victim,
-   index len-1 = MRU) -- the exact order of the Python OrderedDict, where
-   move_to_end() appends at the MRU end and popitem(last=False) evicts the
-   front.  All state is integers, so batch-vs-scalar bit-equality is just
-   "same control flow". */
+   index len-1 = MRU).  Touch moves a resident tag to MRU and returns 1;
+   otherwise it installs the tag at MRU, evicting slot 0 when the set is
+   full, and returns 0.  All state is integers, so equality with the Python
+   walk is just "same control flow". */
 
-static int consult_lookup(int64_t *slot, int32_t len, int64_t tag)
+static int consult_touch(int64_t *slot, int32_t *len, int32_t ways, int64_t tag)
 {
-    for (int32_t j = 0; j < len; j++) {
-        if (slot[j] == tag) {
-            for (int32_t k = j; k < len - 1; k++) slot[k] = slot[k + 1];
-            slot[len - 1] = tag;
-            return 1;
+    int32_t n = *len, j = 0;
+    while (j < n && slot[j] != tag) j++;
+    int hit = j < n;
+    if (!hit) {
+        if (n < ways) {
+            slot[n] = tag;
+            *len = n + 1;
+            return 0;
         }
+        j = 0;
     }
-    return 0;
+    for (; j < n - 1; j++) slot[j] = slot[j + 1];
+    slot[n - 1] = tag;
+    return hit;
 }
 
-static void consult_fill(int64_t *slot, int32_t *len, int32_t ways, int64_t tag)
-{
-    if (consult_lookup(slot, *len, tag)) return;
-    if (*len >= ways) {
-        for (int32_t k = 0; k < *len - 1; k++) slot[k] = slot[k + 1];
-        slot[*len - 1] = tag;
-    } else {
-        slot[*len] = tag;
-        *len += 1;
-    }
-}
-
-/* Service a pre-elided memory-op stream in program order.  Mirrors the
-   per-line loop in CacheHierarchy.consult_batch exactly: demand accesses
-   probe L1 (MRU refresh on hit), continue down on miss, then fill every
-   level at or above the hit level (all levels on a DRAM miss); prefetches
-   fill every level at or below the target.  Cache lines must be
-   non-negative (the caller guards) so C division matches Python floor
-   division.  State arrays are strided per level: level l's set s lives at
+/* Service a cache-line op stream in program order.  Mirrors
+   repro.machine.cache._walk, the walk behind CacheHierarchy.access and
+   prefetch: a demand access touches L1, L2, ... and stops at the first
+   level that held the line (4 = DRAM when none did); a prefetch touches
+   every level at or below its target.  Cache lines must be non-negative
+   (the caller guards) so C division matches Python floor division.  State
+   arrays are strided per level: level l's set s lives at
    tags[tag_base[l] + s*n_ways[l]] with occupancy set_len[len_base[l]+s]. */
 int repro_consult(
     int64_t n_ops,
-    const int64_t *lines,        /* kept (non-elided) cache-line ids */
+    const int64_t *lines,        /* cache-line ids */
     const uint8_t *kinds,        /* 1=load 2=store 3=prefetch */
     const uint8_t *plevels,      /* prefetch target level */
     int32_t n_levels,
@@ -211,45 +207,20 @@ int repro_consult(
 {
     for (int64_t i = 0; i < n_ops; i++) {
         int64_t line = lines[i];
-        if (kinds[i] != 3) {
-            int64_t s0 = line % num_sets[0];
-            int64_t t0 = line / num_sets[0];
-            if (consult_lookup(tags + tag_base[0] + s0 * n_ways[0],
-                               set_len[len_base[0] + s0], t0)) {
-                out_levels[i] = 1;
-                continue;
+        int demand = kinds[i] != 3;
+        int32_t first = demand ? 1 : (int32_t)plevels[i];
+        uint8_t served = demand ? 4 : 1;
+        for (int32_t l = 0; l < n_levels; l++) {
+            if (level_id[l] < first) continue;
+            int64_t s = line % num_sets[l];
+            if (consult_touch(tags + tag_base[l] + s * n_ways[l],
+                              set_len + len_base[l] + s, n_ways[l],
+                              line / num_sets[l]) && demand) {
+                served = (uint8_t)level_id[l];
+                break;
             }
-            int32_t hit = 4;
-            for (int32_t l = 1; l < n_levels; l++) {
-                int64_t s = line % num_sets[l];
-                if (consult_lookup(tags + tag_base[l] + s * n_ways[l],
-                                   set_len[len_base[l] + s],
-                                   line / num_sets[l])) {
-                    hit = level_id[l];
-                    break;
-                }
-            }
-            for (int32_t l = 0; l < n_levels; l++) {
-                if (level_id[l] <= hit || hit == 4) {
-                    int64_t s = line % num_sets[l];
-                    consult_fill(tags + tag_base[l] + s * n_ways[l],
-                                 set_len + len_base[l] + s, n_ways[l],
-                                 line / num_sets[l]);
-                }
-            }
-            out_levels[i] = (uint8_t)hit;
-        } else {
-            uint8_t target = plevels[i];
-            for (int32_t l = 0; l < n_levels; l++) {
-                if (level_id[l] >= (int32_t)target) {
-                    int64_t s = line % num_sets[l];
-                    consult_fill(tags + tag_base[l] + s * n_ways[l],
-                                 set_len + len_base[l] + s, n_ways[l],
-                                 line / num_sets[l]);
-                }
-            }
-            out_levels[i] = 1;
         }
+        out_levels[i] = served;
     }
     return 0;
 }

@@ -16,7 +16,7 @@ import pytest
 from repro import telemetry
 from repro.analysis.artifactcheck import (
     ARTIFACT_MUTATION_CLASSES,
-    check_cache_export,
+    check_cache_slots,
     run_artifact_mutation_suite,
     run_differential,
     sweep_artifacts,
@@ -146,17 +146,23 @@ class TestIntervals:
     def test_lru_export_well_formed(self):
         caches = CacheHierarchy(GRAVITON2)
         rep = Report("cache")
-        check_cache_export(caches, rep)
+        check_cache_slots(caches, rep)
         assert rep.finalize().ok
 
     def test_lru_overfull_set_detected(self):
         caches = CacheHierarchy(GRAVITON2)
         _lvl, l1 = caches.levels[0]
-        for tag in range(l1.ways + 1):  # one past associativity
-            l1._sets[0][tag] = None
+        l1.lens[0] = l1.ways + 1  # one past associativity
         rep = Report("cache")
-        check_cache_export(caches, rep)
+        check_cache_slots(caches, rep)
         assert any(f.code == "lru-occupancy" for f in rep.finalize().errors)
+
+    def test_lru_truncated_tag_array_detected(self):
+        caches = CacheHierarchy(GRAVITON2)
+        caches.tags = caches.tags[:-1]  # the last set's last slot is gone
+        rep = Report("cache")
+        check_cache_slots(caches, rep)
+        assert any(f.code == "cache-geometry" for f in rep.finalize().errors)
 
 
 class TestCompileGate:
@@ -199,7 +205,7 @@ class TestSweep:
         assert all(not r.errors and not r.warnings for r in reports)
         names = [r.name for r in reports]
         assert any("fusion" in n for n in names)
-        assert any(n.startswith("cache-export") for n in names)
+        assert any(n.startswith("cache-slots") for n in names)
 
 
 class TestMutationSelfTest:

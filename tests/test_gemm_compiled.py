@@ -119,15 +119,29 @@ class TestConsultBatch:
     @staticmethod
     def _state(h):
         return [
-            [list(s.keys()) for s in cache._sets] for _, cache in h.levels
+            [cache.resident(s) for s in range(cache.num_sets)]
+            for _, cache in h.levels
         ]
 
     @pytest.mark.parametrize("chip", [GRAVITON2, KP920, A64FX], ids=lambda c: c.name)
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_state_and_levels_equal_scalar(self, chip, seed):
+    def test_state_and_levels_equal_scalar(self, monkeypatch, chip, seed):
+        # Two batched legs: the default (native kernel when it builds) and
+        # REPRO_NATIVE=0, where elision composes with the Python walk.
+        from repro.machine import native
+
         addrs, kinds, plevels = self._streams(chip, seed)
         batched = CacheHierarchy(chip)
         got = batched.consult_batch(addrs, kinds, plevels)
+
+        with monkeypatch.context() as m:
+            m.setattr(native, "_native", None)
+            m.setattr(native, "_failed", False)
+            m.setattr(native, "_status", "unbuilt")
+            m.setenv("REPRO_NATIVE", "0")
+            fallback = CacheHierarchy(chip)
+            got_fallback = fallback.consult_batch(addrs, kinds, plevels)
+            assert native.native_status() == "disabled"
 
         scalar = CacheHierarchy(chip)
         want = np.ones(len(addrs), np.uint8)
@@ -140,9 +154,11 @@ class TestConsultBatch:
                 scalar.prefetch(addr, int(plevels[i]))
 
         load = kinds == 1
-        assert got[load].tobytes() == want[load].tobytes()
-        assert batched.stats.hits == scalar.stats.hits
-        assert self._state(batched) == self._state(scalar)
+        want_state = self._state(scalar)
+        for h, levels in ((batched, got), (fallback, got_fallback)):
+            assert levels[load].tobytes() == want[load].tobytes()
+            assert h.stats.hits == scalar.stats.hits
+            assert self._state(h) == want_state
 
     def test_empty_stream(self):
         h = CacheHierarchy(GRAVITON2)
@@ -328,10 +344,7 @@ class TestNativeKernels:
 
     def test_consult_native_matches_python_loop(self, monkeypatch):
         self._require_native()
-        from repro.machine import cache as cache_mod
-
         addrs, kinds, plevels = TestConsultBatch._streams(GRAVITON2, 7)
-        monkeypatch.setattr(cache_mod, "NATIVE_MIN_KEPT", 1)
         h_native = CacheHierarchy(GRAVITON2)
         with telemetry.collecting() as col:
             got = h_native.consult_batch(addrs, kinds, plevels)
@@ -348,17 +361,17 @@ class TestNativeKernels:
         )
 
     def test_consult_native_interleaves_with_scalar_walks(self, monkeypatch):
-        # Scalar mutations (warm_range between fused blocks) land between
-        # batches; the export/import round-trip must compose with them.
+        # warm_range calls land between fused blocks' consults; both must
+        # mutate the same slot arrays the scalar walk would, and only the
+        # consults count as native consult batches.
         self._require_native()
-        from repro.machine import cache as cache_mod
-
-        monkeypatch.setattr(cache_mod, "NATIVE_MIN_KEPT", 1)
         streams = [TestConsultBatch._streams(GRAVITON2, s) for s in (11, 12)]
         h_native = CacheHierarchy(GRAVITON2)
-        for addrs, kinds, plevels in streams:
-            h_native.consult_batch(addrs, kinds, plevels)
-            h_native.warm_range(1 << 20, 4096, 1)
+        with telemetry.collecting() as col:
+            for addrs, kinds, plevels in streams:
+                h_native.consult_batch(addrs, kinds, plevels)
+                h_native.warm_range(1 << 20, 4096, 1)
+        assert col.counters.get("replay.consult_native") == len(streams)
 
         h_python = CacheHierarchy(GRAVITON2)
         self._native_off(monkeypatch)

@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.machine.cache import CacheHierarchy, CacheLevel
-from repro.machine.chips import APPLE_M2, GRAVITON2, KP920
+from repro.machine import native
+from repro.machine.cache import CacheHierarchy, CacheLevel, cache_level_ids
+from repro.machine.chips import A64FX, APPLE_M2, GRAVITON2, KP920
 
 
 class TestCacheLevel:
@@ -48,9 +49,9 @@ class TestCacheLevel:
         c = CacheLevel(16 * 64, ways=4, line_bytes=64)
         for a in addrs:
             c.fill(a)
-        total = sum(len(s) for s in c._sets)
-        assert total <= 16
-        for s in c._sets:
+        sets = [c.resident(s) for s in range(c.num_sets)]
+        assert sum(len(s) for s in sets) <= 16
+        for s in sets:
             assert len(s) <= 4
 
 
@@ -125,3 +126,53 @@ class TestCacheHierarchy:
         # repeated sweeps all hit L1
         for _ in range(3):
             assert all(h.access(a) == 1 for a in range(0, span, 64))
+
+
+class TestWarmRange:
+    """``warm_range`` is one batched prefetch consult: the native kernel and
+    the Python walk must leave identical slot arrays and stats."""
+
+    CASES = {
+        "aligned": (1 << 16, 4096),
+        "unaligned": (1000, 500),
+        "empty-aligned": (4096, 0),
+        "empty-unaligned": (4100, 0),
+        "beyond-l1": (0, 3 * 64 * 1024),
+    }
+
+    @staticmethod
+    def _warm(chip, level, base, nbytes):
+        h = CacheHierarchy(chip)
+        h.warm_range(base, nbytes, level)
+        for addr in range(base - 256, base + nbytes + 256, 64):
+            h.access(addr)
+        return h
+
+    @pytest.mark.parametrize("chip", [GRAVITON2, KP920, A64FX], ids=lambda c: c.name)
+    def test_native_matches_fallback(self, monkeypatch, chip):
+        levels = cache_level_ids(chip)[:-1]
+        runs = {
+            (level, name): self._warm(chip, level, *case)
+            for level in levels
+            for name, case in self.CASES.items()
+        }
+        monkeypatch.setattr(native, "_native", None)
+        monkeypatch.setattr(native, "_failed", True)
+        for (level, name), got in runs.items():
+            want = self._warm(chip, level, *self.CASES[name])
+            assert (got.tags == want.tags).all(), (level, name)
+            assert (got.lens == want.lens).all(), (level, name)
+            assert got.stats.hits == want.stats.hits, (level, name)
+
+    @pytest.mark.parametrize(
+        "base, nbytes, lines",
+        [(4096, 0, 0), (4100, 0, 1), (1000, 500, 9), (1024, 128, 2)],
+    )
+    def test_lines_warmed(self, base, nbytes, lines):
+        # Every line from the one holding ``base`` up to ``base + nbytes``:
+        # an empty range at an unaligned base still warms its line.
+        h = CacheHierarchy(GRAVITON2)
+        h.warm_range(base, nbytes, 1)
+        _, l1 = h.levels[0]
+        assert int(l1.lens.sum()) == lines
+        assert h.stats.accesses == 0
